@@ -51,6 +51,59 @@ type ClientStats struct {
 	Deadlines    uint64 // calls failed terminally at their deadline
 }
 
+// Add accumulates o into s: every counter, time and histogram bucket sums,
+// recovery block included; MaxRetries keeps the larger of the two.
+func (s *ClientStats) Add(o ClientStats) {
+	s.Calls += o.Calls
+	s.FetchReads += o.FetchReads
+	s.SecondReads += o.SecondReads
+	s.ReplyDeliveries += o.ReplyDeliveries
+	s.Retries += o.Retries
+	if o.MaxRetries > s.MaxRetries {
+		s.MaxRetries = o.MaxRetries
+	}
+	for i, v := range o.RetryHist {
+		s.RetryHist[i] += v
+	}
+	s.SwitchToReply += o.SwitchToReply
+	s.SwitchToFetch += o.SwitchToFetch
+	s.IdleNs += o.IdleNs
+	s.SendNs += o.SendNs
+	s.FetchNs += o.FetchNs
+	s.ReplyWaitNs += o.ReplyWaitNs
+	s.FaultRetries += o.FaultRetries
+	s.Resends += o.Resends
+	s.Reconnects += o.Reconnects
+	s.Demotions += o.Demotions
+	s.Deadlines += o.Deadlines
+}
+
+// Sub returns what s accumulated since prev, an earlier snapshot of the
+// same stats. MaxRetries is a running maximum, not a counter, so it keeps
+// s's value.
+func (s ClientStats) Sub(prev ClientStats) ClientStats {
+	s.Calls -= prev.Calls
+	s.FetchReads -= prev.FetchReads
+	s.SecondReads -= prev.SecondReads
+	s.ReplyDeliveries -= prev.ReplyDeliveries
+	s.Retries -= prev.Retries
+	for i, v := range prev.RetryHist {
+		s.RetryHist[i] -= v
+	}
+	s.SwitchToReply -= prev.SwitchToReply
+	s.SwitchToFetch -= prev.SwitchToFetch
+	s.IdleNs -= prev.IdleNs
+	s.SendNs -= prev.SendNs
+	s.FetchNs -= prev.FetchNs
+	s.ReplyWaitNs -= prev.ReplyWaitNs
+	s.FaultRetries -= prev.FaultRetries
+	s.Resends -= prev.Resends
+	s.Reconnects -= prev.Reconnects
+	s.Demotions -= prev.Demotions
+	s.Deadlines -= prev.Deadlines
+	return s
+}
+
 // Client is the client-side endpoint of one RFP connection. A Client must
 // be driven by a single simulated thread.
 type Client struct {

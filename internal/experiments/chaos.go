@@ -266,12 +266,7 @@ func runChaosPlan(o Options, pl chaosPlan, clients, calls int) (row string, resu
 		}
 	}
 	for _, c := range clis {
-		s := c.Stats
-		agg.FaultRetries += s.FaultRetries
-		agg.Resends += s.Resends
-		agg.Reconnects += s.Reconnects
-		agg.Demotions += s.Demotions
-		agg.Deadlines += s.Deadlines
+		agg.Add(c.Stats)
 	}
 	kops := 0.0
 	if endAt > 0 {

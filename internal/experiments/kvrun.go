@@ -151,7 +151,7 @@ func RunKV(r KVRun) KVOut {
 		statsFn = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range js {
-				addStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -173,7 +173,7 @@ func RunKV(r KVRun) KVOut {
 		statsFn = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range ms {
-				addStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -255,7 +255,7 @@ func RunKV(r KVRun) KVOut {
 	out := KVOut{
 		MOPS:   stats.MOPS(after-before, int64(r.Opts.Window)),
 		Lat:    hist,
-		Agg:    subStats(statsAfter, statsBefore),
+		Agg:    statsAfter.Sub(statsBefore),
 		Misses: misses,
 		Trace:  ring,
 	}
@@ -355,7 +355,7 @@ func RunEcho(r EchoRun) KVOut {
 	after := sumU64(ops)
 	var agg core.ClientStats
 	for _, c := range clis {
-		addStats(&agg, c.Stats)
+		agg.Add(c.Stats)
 	}
 	idleDelta := agg.IdleNs - idleBefore
 	util := 1 - float64(idleDelta)/float64(int64(r.ClientThreads)*int64(o.Window))
@@ -387,42 +387,4 @@ func sumU64(v []uint64) uint64 {
 		s += x
 	}
 	return s
-}
-
-func addStats(dst *core.ClientStats, s core.ClientStats) {
-	dst.Calls += s.Calls
-	dst.FetchReads += s.FetchReads
-	dst.SecondReads += s.SecondReads
-	dst.ReplyDeliveries += s.ReplyDeliveries
-	dst.Retries += s.Retries
-	dst.SwitchToReply += s.SwitchToReply
-	dst.SwitchToFetch += s.SwitchToFetch
-	dst.IdleNs += s.IdleNs
-	dst.SendNs += s.SendNs
-	dst.FetchNs += s.FetchNs
-	dst.ReplyWaitNs += s.ReplyWaitNs
-	if s.MaxRetries > dst.MaxRetries {
-		dst.MaxRetries = s.MaxRetries
-	}
-	for i, v := range s.RetryHist {
-		dst.RetryHist[i] += v
-	}
-}
-
-func subStats(a, b core.ClientStats) core.ClientStats {
-	a.Calls -= b.Calls
-	a.FetchReads -= b.FetchReads
-	a.SecondReads -= b.SecondReads
-	a.ReplyDeliveries -= b.ReplyDeliveries
-	a.Retries -= b.Retries
-	a.SwitchToReply -= b.SwitchToReply
-	a.SwitchToFetch -= b.SwitchToFetch
-	a.IdleNs -= b.IdleNs
-	a.SendNs -= b.SendNs
-	a.FetchNs -= b.FetchNs
-	a.ReplyWaitNs -= b.ReplyWaitNs
-	for i := range a.RetryHist {
-		a.RetryHist[i] -= b.RetryHist[i]
-	}
-	return a
 }

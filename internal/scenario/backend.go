@@ -158,7 +158,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		b.stats = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range js {
-				sumStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -201,7 +201,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		b.stats = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range ss {
-				sumStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -224,7 +224,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		b.stats = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range ms {
-				sumStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -278,34 +278,6 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		return nil, fmt.Errorf("scenario: unknown backend %q (have %v)", name, Backends())
 	}
 	return b, nil
-}
-
-// sumStats aggregates one thread's transport stats, recovery block
-// included (the experiment harness's addStats predates the recovery path
-// and skips it; scenarios assert on it).
-func sumStats(dst *core.ClientStats, s core.ClientStats) {
-	dst.Calls += s.Calls
-	dst.FetchReads += s.FetchReads
-	dst.SecondReads += s.SecondReads
-	dst.ReplyDeliveries += s.ReplyDeliveries
-	dst.Retries += s.Retries
-	dst.SwitchToReply += s.SwitchToReply
-	dst.SwitchToFetch += s.SwitchToFetch
-	dst.IdleNs += s.IdleNs
-	dst.SendNs += s.SendNs
-	dst.FetchNs += s.FetchNs
-	dst.ReplyWaitNs += s.ReplyWaitNs
-	dst.FaultRetries += s.FaultRetries
-	dst.Resends += s.Resends
-	dst.Reconnects += s.Reconnects
-	dst.Demotions += s.Demotions
-	dst.Deadlines += s.Deadlines
-	if s.MaxRetries > dst.MaxRetries {
-		dst.MaxRetries = s.MaxRetries
-	}
-	for i, v := range s.RetryHist {
-		dst.RetryHist[i] += v
-	}
 }
 
 // recoveryOf projects the recovery block out of aggregated client stats.

@@ -386,7 +386,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 			Phase:      phases[pi].Name,
 			DurationNs: int64(phases[pi].Duration),
 			Tel:        telAt[pi+1].Delta(telAt[pi]),
-			Recovery:   recoveryOf(statsAt[pi+1]).sub(recoveryOf(statsAt[pi])),
+			Recovery:   recoveryOf(statsAt[pi+1].Sub(statsAt[pi])),
 		}
 		for i := 0; i < threads; i++ {
 			cell := cellAt(i, pi)

@@ -7,7 +7,15 @@
 // one executes at any instant of virtual time — and as run-to-completion
 // callbacks (fn events) that fire and return without ever parking. The fast
 // paths in internal/rnic use the callback form, so retiring their events
-// costs a function call instead of two goroutine channel handoffs.
+// costs a function call instead of a goroutine channel handoff.
+//
+// Processes pass a baton: whichever goroutine holds a lane runs its dispatch
+// loop. A parking process retires the fn events due next itself and hands
+// the lane straight to the next process to wake (or keeps running, if that
+// is itself), so each process wakeup costs one goroutine handoff. Only when
+// the drain bound is reached does the baton go back to the goroutine that
+// called Run. A panic on a process goroutine travels back the same way and
+// is re-raised from Run as a *ProcPanic.
 //
 // Events live in per-lane calendar queues ordered by (time, sequence
 // number); two runs with the same seed and the same spawn order produce
@@ -28,6 +36,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 )
 
@@ -92,26 +101,28 @@ type proc struct {
 // lane is one shard of the scheduler: a virtual clock, a pending-event
 // queue, a sequence counter and the processes homed to it. A default
 // environment has exactly one lane; a sharded environment has one per
-// machine. Everything inside a lane is single-threaded — during a parallel
-// window each lane is driven by exactly one worker, and cross-lane effects
-// ride the window barrier (window.go).
+// machine. Everything inside a lane is single-threaded: one goroutine holds
+// the lane's baton at a time (the drain caller or one of its processes),
+// during a parallel window each lane is driven by exactly one worker, and
+// cross-lane effects ride the window barrier (window.go).
 type lane struct {
-	env     *Env
-	id      int
-	name    string
-	q       calQueue
-	seq     uint64
-	now     Time
-	rng     *rand.Rand
-	yield   chan struct{} // process -> lane driver: I parked or finished
-	cur     *proc
-	procs   map[int]*proc
-	nextID  int
-	outbox  []crossEvent // cross-lane sends buffered until the window barrier
-	until   Time         // active drain bound; Sleep may fast-forward up to it
-	retired uint64
-	hash    bool
-	digest  uint64
+	env      *Env
+	id       int
+	name     string
+	q        calQueue
+	seq      uint64
+	now      Time
+	rng      *rand.Rand
+	yield    chan struct{} // process -> drain caller: the baton is back
+	fault    *ProcPanic    // panic raised on a process goroutine, re-raised by drain
+	handoffs uint64        // goroutine handoffs of the baton (resumes and yields)
+	procs    map[int]*proc
+	nextID   int
+	outbox   []crossEvent // cross-lane sends buffered until the window barrier
+	until    Time         // active drain bound; Sleep may fast-forward up to it
+	retired  uint64
+	hash     bool
+	digest   uint64
 }
 
 // crossEvent is a deferred schedule onto another lane, delivered in
@@ -245,35 +256,65 @@ func (l *lane) gogo(name string, fn func(*Proc)) {
 	l.nextID++
 	pr := &proc{id: l.nextID, name: name, lane: l, resume: make(chan bool)}
 	l.procs[pr.id] = pr
-	go func() {
-		if !<-pr.resume {
-			pr.done = true
-			l.yield <- struct{}{}
-			return
-		}
-		defer func() {
-			pr.done = true
-			delete(l.procs, pr.id)
-			if r := recover(); r != nil {
-				if _, ok := r.(stopped); ok {
-					l.yield <- struct{}{}
-					return
-				}
-				panic(r)
-			}
-			l.yield <- struct{}{}
-		}()
-		fn(&Proc{env: e, p: pr})
-	}()
+	go l.run(pr, fn)
 	l.schedule(l.now, pr, nil)
 }
 
-// park suspends the calling process until the scheduler resumes it.
+// run is the body of a process goroutine. A process that returns passes the
+// baton on like a parking one. One that panics records the panic for drain
+// to re-raise and hands the baton straight back to the drain caller, as
+// does one unwound by Close (stopped) or by runtime.Goexit.
+func (l *lane) run(pr *proc, fn func(*Proc)) {
+	if !<-pr.resume {
+		pr.done = true
+		l.yield <- struct{}{}
+		return
+	}
+	passed := false
+	defer func() {
+		if passed {
+			return // returned normally; the baton has already moved on
+		}
+		r := recover()
+		pr.done = true
+		delete(l.procs, pr.id)
+		if _, ok := r.(stopped); r != nil && !ok {
+			l.fault = &ProcPanic{Value: r, Proc: pr.name, Stack: debug.Stack()}
+		}
+		l.yield <- struct{}{}
+	}()
+	fn(&Proc{env: l.env, p: pr})
+	pr.done = true
+	delete(l.procs, pr.id)
+	next := l.dispatch()
+	passed = true
+	l.pass(next)
+}
+
+// park suspends the calling process until the scheduler resumes it. The
+// parking process dispatches the lane's next events itself: if the next
+// process to wake is the caller, park returns without any handoff.
 func (p *Proc) park() {
-	p.p.lane.yield <- struct{}{}
+	l := p.p.lane
+	next := l.dispatch()
+	if next == p.p {
+		return
+	}
+	l.pass(next)
 	if !<-p.p.resume {
 		panic(stopped{})
 	}
+}
+
+// pass hands the lane to next, or back to the drain caller when dispatch
+// reached the drain bound (next == nil).
+func (l *lane) pass(next *proc) {
+	l.handoffs++
+	if next != nil {
+		next.resume <- true
+		return
+	}
+	l.yield <- struct{}{}
 }
 
 // Sleep advances the process by d of virtual time. Non-positive durations
@@ -309,11 +350,10 @@ func (p *Proc) SleepUntil(t Time) {
 // sleeping process's wakeup would be the very next event anyway: nothing is
 // pending at or before wake and the active drain extends past it. Within a
 // lane exactly one context executes at a time, so if the queue's head lies
-// strictly beyond wake, scheduling the wakeup and parking would switch to
-// the driver only for it to switch straight back — same state, same order,
-// two goroutine handoffs later. The wakeup is never scheduled, so no
-// sequence number is consumed and no event is retired; ordering among real
-// events is unchanged.
+// strictly beyond wake, scheduling the wakeup and parking would only have
+// the dispatch loop pop it straight back — same state, same order. The
+// wakeup is never scheduled, so no sequence number is consumed and no event
+// is retired; ordering among real events is unchanged.
 //
 //rfp:hotpath
 func (l *lane) sleepFast(wake Time) bool {
@@ -327,18 +367,18 @@ func (l *lane) sleepFast(wake Time) bool {
 	return true
 }
 
-// drain retires this lane's events in (t, seq) order until the next event
-// lies beyond until, then fast-forwards the lane clock to until. This is the
-// kernel hot loop: fn events dispatch as a plain call; only process events
-// pay the goroutine handoff.
+// dispatch retires this lane's events in (t, seq) order up to the drain
+// bound. fn events run inline as a plain call; dispatch returns the first
+// live process due to wake, or nil once the next event lies beyond the
+// bound. It runs on whichever goroutine holds the lane: drain's caller, or
+// the process that is parking or finishing. This is the kernel hot loop.
 //
 //rfp:hotpath
-func (l *lane) drain(until Time) {
-	l.until = until
+func (l *lane) dispatch() *proc {
 	for {
-		ev, ok := l.q.pop(until)
+		ev, ok := l.q.pop(l.until)
 		if !ok {
-			break
+			return nil
 		}
 		l.now = ev.t
 		l.retired++
@@ -349,14 +389,29 @@ func (l *lane) drain(until Time) {
 			if ev.p.done {
 				continue // stale wakeup for a finished process
 			}
-			l.cur = ev.p
-			ev.p.resume <- true
-			<-l.yield
-			l.cur = nil
-			continue
+			return ev.p
 		}
 		if ev.fn != nil {
 			ev.fn()
+		}
+	}
+}
+
+// drain retires this lane's events until the next event lies beyond until,
+// then fast-forwards the lane clock to until. It resumes the first process
+// to wake and waits once for the baton to come back: processes dispatch and
+// hand off among themselves in between. A panic recorded by a process
+// goroutine is re-raised here, on the caller's goroutine.
+//
+//rfp:hotpath
+func (l *lane) drain(until Time) {
+	l.until = until
+	if next := l.dispatch(); next != nil {
+		l.handoffs++
+		next.resume <- true
+		<-l.yield
+		if l.fault != nil {
+			l.raiseFault()
 		}
 	}
 	if l.now < until {
@@ -489,6 +544,32 @@ func fnvMix64(h, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
+}
+
+// ProcPanic is the value Run and RunAll panic with when code on a process
+// goroutine panicked: the process's own code, or an fn event it dispatched
+// while it held the lane. fn panics raised on the caller's own goroutine
+// propagate unwrapped.
+type ProcPanic struct {
+	Value any    // the original panic value
+	Proc  string // name of the process whose goroutine panicked
+	Stack []byte // that goroutine's stack at the panic
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: panic in process %s: %v\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
+// Unwrap returns the original value when it is an error.
+func (pp *ProcPanic) Unwrap() error {
+	err, _ := pp.Value.(error)
+	return err
+}
+
+func (l *lane) raiseFault() {
+	f := l.fault
+	l.fault = nil
+	panic(f)
 }
 
 func panicForeignLane(p *proc, l *lane) {

@@ -49,15 +49,18 @@ func (h *Hist) Snap() HistSnap {
 	return out
 }
 
-// snapshot copies the histogram into its plain-value snapshot form.
+// snapshot copies the histogram into its plain-value snapshot form. It
+// loads the fields in the reverse of the order Add stores them, so a
+// snapshot taken during a concurrent Add never sees a sample's bucket
+// without its count: Σbuckets ≤ Count always holds.
 func (h *Hist) snapshot(out *HistSnap) {
-	out.Count = h.count.Load()
-	out.Sum = h.sum.Load()
-	out.Min = h.min.Load()
-	out.Max = h.max.Load()
 	for i := range h.buckets {
 		out.Buckets[i] = h.buckets[i].Load()
 	}
+	out.Max = h.max.Load()
+	out.Min = h.min.Load()
+	out.Sum = h.sum.Load()
+	out.Count = h.count.Load()
 }
 
 // HistSnap is the immutable snapshot of a Hist.

@@ -217,17 +217,20 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	s.Calls = r.calls.Load()
-	s.FetchCalls = r.fetchCalls.Load()
+	// Histograms before their call counters, the reverse of the order Call
+	// stores them, so a concurrent snapshot never sees a histogram ahead of
+	// its counter (Total.Count ≤ Calls, FetchLeg.Count ≤ FetchCalls, ...).
+	r.replyLeg.snapshot(&s.ReplyLeg)
+	r.fetchLeg.snapshot(&s.FetchLeg)
+	r.send.snapshot(&s.Send)
+	r.total.snapshot(&s.Total)
 	s.ReplyCalls = r.replyCalls.Load()
+	s.FetchCalls = r.fetchCalls.Load()
+	s.Calls = r.calls.Load()
 	s.Writes = r.writes.Load()
 	s.Reads = r.reads.Load()
 	s.Retries = r.retries.Load()
 	s.Fallbacks = r.fallbacks.Load()
-	r.total.snapshot(&s.Total)
-	r.send.snapshot(&s.Send)
-	r.fetchLeg.snapshot(&s.FetchLeg)
-	r.replyLeg.snapshot(&s.ReplyLeg)
 	for i := range r.occ {
 		s.Occupancy[i] = r.occ[i].Load()
 	}
